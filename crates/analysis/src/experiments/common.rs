@@ -11,7 +11,8 @@ use rumor_sim::rng::Xoshiro256PlusPlus;
 /// Controls how much work an experiment does.
 ///
 /// `quick()` keeps every experiment under a few seconds for tests;
-/// `full()` uses the trial counts recorded in EXPERIMENTS.md.
+/// `full()` uses the full-scale trial counts, the configuration behind
+/// the committed tables in EXPERIMENTS_DYNAMIC.md and EXPERIMENTS_ENGINE.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// Monte-Carlo trials per configuration.
@@ -21,12 +22,12 @@ pub struct ExperimentConfig {
     /// Worker threads for parallel trial running.
     pub threads: usize,
     /// Scale factor applied to the graph sizes of each experiment
-    /// (1 = the sizes recorded in EXPERIMENTS.md; quick configs shrink).
+    /// (1 = the full-scale sizes; quick configs shrink).
     pub full_scale: bool,
 }
 
 impl ExperimentConfig {
-    /// Full-scale configuration used to produce EXPERIMENTS.md.
+    /// Full-scale configuration (the one behind the committed tables).
     pub fn full() -> Self {
         Self { trials: 400, master_seed: 0xC0FFEE, threads: default_threads(), full_scale: true }
     }

@@ -269,9 +269,10 @@ mod tests {
 
     /// The antithetic satellite: pair-averaged protocol runs on shared
     /// traces reduce the paired interval further at equal trial count.
+    /// Both sides run under one contract over twelve master seeds; one
+    /// seed alone is too noisy to order the two intervals reliably.
     #[test]
     fn antithetic_pairs_shrink_the_paired_interval() {
-        let cfg = ExperimentConfig::quick().with_trials(60);
         let n = 48;
         let ci = |spec: SimSpec| {
             let report = spec.build().unwrap().run();
@@ -279,11 +280,19 @@ mod tests {
                 .paired_ci_half_width()
                 .expect("quick E23 markov runs complete")
         };
-        let plain = ci(cell_spec(n, "markov", &cfg));
-        let anti = ci(cell_spec(n, "markov", &cfg).antithetic(true).rng_contract(RngContract::V2));
+        let factors: Vec<f64> = (1000..1012)
+            .map(|seed| {
+                let cfg = ExperimentConfig::quick().with_seed(seed);
+                let plain = cell_spec(n, "markov", &cfg).rng_contract(RngContract::V2);
+                ci(plain.clone()) / ci(plain.antithetic(true))
+            })
+            .collect();
+        let narrowed = factors.iter().filter(|&&f| f > 1.0).count();
+        let mean = factors.iter().sum::<f64>() / factors.len() as f64;
         assert!(
-            anti < plain,
-            "antithetic pairing must narrow the paired CI: anti {anti} vs plain {plain}"
+            narrowed >= 10 && mean >= 1.2,
+            "antithetic pairing must narrow the paired CI on >= 10 of 12 seeds by a mean \
+             factor >= 1.2: narrowed on {narrowed}, mean {mean:.3}, factors {factors:?}"
         );
     }
 }

@@ -5,8 +5,9 @@
 //! worked examples, and proof constructions. Each experiment here
 //! regenerates one of those claims as a table or series whose *shape*
 //! (who wins, by what factor, how the gap scales) can be compared with
-//! the theory. See `EXPERIMENTS.md` at the workspace root for the
-//! claim-by-claim record.
+//! the theory. The committed full-scale tables of the dynamic-network
+//! and engine experiments are in `EXPERIMENTS_DYNAMIC.md` and
+//! `EXPERIMENTS_ENGINE.md` at the workspace root.
 //!
 //! | Experiment | Paper claim |
 //! |---|---|

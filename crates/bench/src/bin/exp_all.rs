@@ -1,4 +1,4 @@
-//! Regenerates every experiment table in sequence (EXPERIMENTS.md).
+//! Regenerates every experiment table in sequence.
 //! Flags: --quick --trials N --seed S --csv.
 fn main() {
     rumor_bench::run_all_and_print();

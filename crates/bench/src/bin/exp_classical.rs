@@ -1,4 +1,4 @@
-//! Regenerates experiment e7 (see EXPERIMENTS.md). Flags: --quick --trials N --seed S --csv.
+//! Regenerates experiment e7. Flags: --quick --trials N --seed S --csv.
 fn main() {
     rumor_bench::run_and_print("e7");
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment e5 (see EXPERIMENTS.md). Flags: --quick --trials N --seed S --csv.
+//! Regenerates experiment e5. Flags: --quick --trials N --seed S --csv.
 fn main() {
     rumor_bench::run_and_print("e5");
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment e17 (see EXPERIMENTS.md). Flags: --quick --trials N --seed S --csv.
+//! Regenerates experiment e17. Flags: --quick --trials N --seed S --csv.
 fn main() {
     rumor_bench::run_and_print("e17");
 }

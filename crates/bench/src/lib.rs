@@ -1,6 +1,8 @@
 //! Shared driver for the experiment binaries.
 //!
-//! Every binary `exp_*` regenerates one table of EXPERIMENTS.md:
+//! Every binary `exp_*` regenerates one experiment table (the dynamic and
+//! engine ones are committed in EXPERIMENTS_DYNAMIC.md and
+//! EXPERIMENTS_ENGINE.md):
 //!
 //! ```text
 //! cargo run --release -p rumor-bench --bin exp_t1 -- [--quick] [--trials N] [--seed S] [--csv]

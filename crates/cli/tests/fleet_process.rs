@@ -156,3 +156,62 @@ metrics = off
     assert!(body.contains("\"report\""), "{body}");
     assert!(body.contains("\"unit\": \"time units\""), "{body}");
 }
+
+#[test]
+fn serve_answers_a_too_deep_frame_with_an_error_and_keeps_serving() {
+    use std::io::{Read, Write};
+
+    fn frame(payload: &str) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+        out.extend(payload.as_bytes());
+        out
+    }
+
+    // 100k nested arrays: an unbounded recursive parser overflows the
+    // stack on this and takes the whole service down with it.
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    let spec_text = "\
+spec = v1
+graph = complete n=6
+source = 0
+protocol = async mode=push-pull view=global-clock
+topology = static
+engine = sequential
+trials = 2
+seed = 3
+threads = 1
+loss = 0
+max_steps = auto
+max_rounds = auto
+coupled = false
+horizon = auto
+antithetic = false
+rng_contract = v2
+metrics = off
+";
+    let valid = format!("{{\"id\": 2, \"spec\": \"{}\"}}", spec_text.replace('\n', "\\n"));
+    let mut input = frame(&deep);
+    input.extend(frame(&valid));
+
+    let mut child = rumor()
+        .arg("serve")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(&input).unwrap();
+    let mut output = Vec::new();
+    child.stdout.take().unwrap().read_to_end(&mut output).unwrap();
+    assert!(child.wait().unwrap().success(), "serve must survive the deep frame");
+
+    let mut bodies = Vec::new();
+    let mut rest = output.as_slice();
+    while !rest.is_empty() {
+        let len = u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize;
+        bodies.push(std::str::from_utf8(&rest[4..4 + len]).unwrap().to_owned());
+        rest = &rest[4 + len..];
+    }
+    assert_eq!(bodies.len(), 2, "{bodies:?}");
+    assert!(bodies[0].contains("\"error\"") && bodies[0].contains("nesting"), "{}", bodies[0]);
+    assert!(bodies[1].contains("\"id\": 2") && bodies[1].contains("\"report\""), "{}", bodies[1]);
+}

@@ -8,9 +8,10 @@
 //! gap:
 //!
 //! * [`TopologyTrace`] — a recorded topology realization: the initial
-//!   graph (after model `init`) plus every applied change as a
-//!   [`TraceStep`] diff (time, edges removed/added, nodes
-//!   deactivated/activated). Traces are recorded either standalone
+//!   graph (after model `init`) plus every applied change as a diff
+//!   (time, edges removed, nodes deactivated/activated, edges added),
+//!   read back as borrowed [`TraceStep`] views. Traces are recorded
+//!   either standalone
 //!   ([`TopologyTrace::record`]: the model's event stream is driven on
 //!   its own, with the informed view frozen to the source — an
 //!   *oblivious* realization, the only kind a sync run can share) or
@@ -34,6 +35,12 @@
 //!   sync/async comparison of E23 **paired**: both protocols watch the
 //!   identical topology realization.
 //!
+//! Storage is three flat columns — per-step times, per-step `u32` ends
+//! into one shared op column, and the ops themselves — so a recorded
+//! step costs 12 bytes plus 12 per changed edge or node, with no heap
+//! allocation of its own (one edge flip: 24 bytes). Recording appends
+//! the graph's change journal straight into the op column.
+//!
 //! Replay past the recorded horizon freezes the topology (no further
 //! steps exist); record with a horizon comfortably above the expected
 //! spreading time. No-op model events (e.g. rejected random-walk
@@ -54,114 +61,149 @@ use crate::engine::TickSource;
 use crate::mode::Mode;
 use crate::outcome::{SyncOutcome, NEVER_ROUND};
 
-/// One applied topology change: everything a single model event did to
-/// the graph, as a diff against the state just before it.
+/// One applied topology change, borrowed from a [`TopologyTrace`]:
+/// everything a single model event did to the graph, as a diff against
+/// the state just before it.
 ///
-/// Replay applies the four lists in a fixed order — remove, deactivate,
-/// activate, add — which is valid for every model in this workspace
-/// (an event never deactivates one node and wires up another).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceStep {
+/// Replay applies `ops` in order — edges removed, nodes deactivated,
+/// nodes activated, edges added, each group ascending — which is valid
+/// for every model in this workspace (an event never deactivates one
+/// node and wires up another).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceStep<'a> {
     /// Simulation time of the change.
     pub time: f64,
-    /// Undirected edges removed, as `(min, max)` pairs, ascending.
-    pub removed: Vec<(Node, Node)>,
-    /// Nodes that left the network, ascending.
-    pub deactivated: Vec<Node>,
-    /// Nodes that (re)joined the network, ascending.
-    pub activated: Vec<Node>,
-    /// Undirected edges inserted, as `(min, max)` pairs, ascending.
-    pub added: Vec<(Node, Node)>,
+    /// The diff in apply order; edges are canonical `(min, max)` pairs.
+    /// Never empty: no-op events are not recorded.
+    pub ops: &'a [GraphChange],
 }
 
-impl TraceStep {
-    /// Whether the event changed nothing (dropped at recording time).
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty()
-            && self.deactivated.is_empty()
-            && self.activated.is_empty()
-            && self.added.is_empty()
+impl TraceStep<'_> {
+    /// Applies the step to a mutable graph.
+    fn apply(&self, net: &mut MutableGraph) {
+        for &op in self.ops {
+            match op {
+                GraphChange::EdgeRemoved(u, v) => {
+                    let removed = net.remove_edge(u, v);
+                    debug_assert!(removed, "trace removes an absent edge ({u}, {v})");
+                }
+                GraphChange::NodeDeactivated(v) => {
+                    net.deactivate(v);
+                }
+                GraphChange::NodeActivated(v) => net.activate(v),
+                GraphChange::EdgeAdded(u, v) => {
+                    let added = net.add_edge(u, v);
+                    debug_assert!(added, "trace adds a present edge ({u}, {v})");
+                }
+            }
+        }
     }
 
-    /// The distinct nodes whose incident edges or activation changed.
-    fn touched_nodes(&self) -> Vec<Node> {
-        let mut nodes: Vec<Node> = self
-            .removed
-            .iter()
-            .chain(self.added.iter())
-            .flat_map(|&(u, v)| [u, v])
-            .chain(self.deactivated.iter().copied())
-            .chain(self.activated.iter().copied())
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-
-    /// The sharded engine's rate impact of this step.
+    /// The sharded engine's rate impact of this step: the distinct
+    /// nodes whose incident edges or activation changed, ascending, if
+    /// there are at most 3 of them, else global.
     fn impact(&self) -> RateImpact {
-        let touched = self.touched_nodes();
-        if touched.len() <= 3 {
-            RateImpact::nodes(&touched)
-        } else {
-            RateImpact::Global
+        let mut touched = [0 as Node; 3];
+        let mut len = 0;
+        for &op in self.ops {
+            let (a, b) = match op {
+                GraphChange::EdgeRemoved(u, v) | GraphChange::EdgeAdded(u, v) => (u, v),
+                GraphChange::NodeDeactivated(v) | GraphChange::NodeActivated(v) => (v, v),
+            };
+            for x in [a, b] {
+                if let Err(i) = touched[..len].binary_search(&x) {
+                    if len == touched.len() {
+                        return RateImpact::Global;
+                    }
+                    touched.copy_within(i..len, i + 1);
+                    touched[i] = x;
+                    len += 1;
+                }
+            }
         }
+        RateImpact::nodes(&touched[..len])
     }
 }
 
-/// Applies one recorded step to a mutable graph.
-fn apply_step(net: &mut MutableGraph, step: &TraceStep) {
-    for &(u, v) in &step.removed {
-        let removed = net.remove_edge(u, v);
-        debug_assert!(removed, "trace removes an absent edge ({u}, {v})");
-    }
-    for &v in &step.deactivated {
-        net.deactivate(v);
-    }
-    for &v in &step.activated {
-        net.activate(v);
-    }
-    for &(u, v) in &step.added {
-        let added = net.add_edge(u, v);
-        debug_assert!(added, "trace adds a present edge ({u}, {v})");
+/// Sort key of a change in a step's canonical apply order.
+fn apply_order(c: &GraphChange) -> (u8, Node, Node) {
+    match *c {
+        GraphChange::EdgeRemoved(u, v) => (0, u, v),
+        GraphChange::NodeDeactivated(v) => (1, v, 0),
+        GraphChange::NodeActivated(v) => (2, v, 0),
+        GraphChange::EdgeAdded(u, v) => (3, u, v),
     }
 }
 
-/// Builds a step from the graph's change journal (everything one model
-/// event did, in mutation order; see [`MutableGraph::track_changes`]).
-///
-/// This replaced the old shadow-graph diff: instead of re-scanning
-/// adjacency after every event — O(n + m) whenever the event reported a
-/// global rate impact, the dominant cost of recording the mobility and
-/// rewire models — the graph itself journals effective mutations and
-/// the step is assembled in O(changes).
-///
-/// Assumes no single event both applies and undoes the same change
-/// (no model in this workspace does; the journal would faithfully
-/// record the round trip, where the old diff recorded nothing).
-fn step_from_changes(changes: &[GraphChange], t: f64) -> TraceStep {
-    let mut removed = Vec::new();
-    let mut added = Vec::new();
-    let mut deactivated = Vec::new();
-    let mut activated = Vec::new();
-    for &c in changes {
-        match c {
-            GraphChange::EdgeAdded(u, v) => added.push((u, v)),
-            GraphChange::EdgeRemoved(u, v) => removed.push((u, v)),
-            GraphChange::NodeDeactivated(v) => deactivated.push(v),
-            GraphChange::NodeActivated(v) => activated.push(v),
-        }
+/// The change that undoes `c`.
+fn inverse(c: GraphChange) -> GraphChange {
+    match c {
+        GraphChange::EdgeRemoved(u, v) => GraphChange::EdgeAdded(u, v),
+        GraphChange::EdgeAdded(u, v) => GraphChange::EdgeRemoved(u, v),
+        GraphChange::NodeDeactivated(v) => GraphChange::NodeActivated(v),
+        GraphChange::NodeActivated(v) => GraphChange::NodeDeactivated(v),
     }
-    removed.sort_unstable();
-    added.sort_unstable();
-    deactivated.sort_unstable();
-    activated.sort_unstable();
-    debug_assert!(
-        !removed.iter().any(|e| added.binary_search(e).is_ok())
-            && !deactivated.iter().any(|v| activated.binary_search(v).is_ok()),
-        "one event must not apply and undo the same change"
-    );
-    TraceStep { time: t, removed, deactivated, activated, added }
+}
+
+/// The flat step store shared by [`TopologyTrace`] and
+/// [`TraceRecorder`]: step `i` happened at `times[i]` and owns
+/// `ops[ends[i - 1]..ends[i]]` (from 0 for the first step).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct StepColumns {
+    times: Vec<f64>,
+    ends: Vec<u32>,
+    ops: Vec<GraphChange>,
+}
+
+impl StepColumns {
+    fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    fn get(&self, i: usize) -> Option<TraceStep<'_>> {
+        let time = *self.times.get(i)?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        Some(TraceStep { time, ops: &self.ops[start..self.ends[i] as usize] })
+    }
+
+    /// Appends everything one model event did at time `t` — the graph's
+    /// change journal, in mutation order (see
+    /// [`MutableGraph::track_changes`]) — as one step in canonical
+    /// apply order. An event that changed nothing records nothing.
+    ///
+    /// Assumes no single event both applies and undoes the same change
+    /// (no model in this workspace does; the journal would faithfully
+    /// record the round trip, where a before/after diff records
+    /// nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace outgrows `u32::MAX` ops.
+    fn push_journal(&mut self, t: f64, changes: &[GraphChange]) {
+        if changes.is_empty() {
+            return;
+        }
+        let start = self.ops.len();
+        self.ops.extend_from_slice(changes);
+        let step = &mut self.ops[start..];
+        step.sort_unstable_by_key(apply_order);
+        debug_assert!(
+            step.iter().all(|c| step
+                .binary_search_by_key(&apply_order(&inverse(*c)), apply_order)
+                .is_err()),
+            "one event must not apply and undo the same change"
+        );
+        let end = u32::try_from(self.ops.len()).expect("trace exceeds u32::MAX recorded ops");
+        self.times.push(t);
+        self.ends.push(end);
+    }
+
+    /// Releases the growth slack once recording is done.
+    fn shrink_to_fit(&mut self) {
+        self.times.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.ops.shrink_to_fit();
+    }
 }
 
 /// A recorded topology realization: the post-`init` starting graph and
@@ -169,7 +211,7 @@ fn step_from_changes(changes: &[GraphChange], t: f64) -> TraceStep {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologyTrace {
     initial: Graph,
-    steps: Vec<TraceStep>,
+    steps: StepColumns,
     horizon: f64,
 }
 
@@ -232,6 +274,12 @@ impl TopologyTrace {
 
     /// [`record_state`](Self::record_state) under an explicit
     /// [`RngContract`] (see [`record_under`](Self::record_under)).
+    ///
+    /// Under `V2` the recording graph is order-relaxed, like every v2
+    /// engine's (see [`MutableGraph::relax_neighbor_order`]): edits skip
+    /// the sorted-insert memmoves, and since the recorded diff is
+    /// canonical and no v2 model draws from row order, the realization
+    /// is the one a sorted graph would record.
     pub fn record_state_under(
         contract: RngContract,
         g: &Graph,
@@ -244,6 +292,9 @@ impl TopologyTrace {
         assert!((source as usize) < n, "source out of range");
         assert!(horizon >= 0.0 && horizon.is_finite(), "horizon must be finite and >= 0");
         let mut net = MutableGraph::from_graph(g);
+        if contract == RngContract::V2 {
+            net.relax_neighbor_order();
+        }
         let mut driver = TopoDriver::new(contract, g, &mut net, state, rng);
         if state.enable_informed_tracking() {
             // Oblivious recording: the informed set is frozen to the
@@ -253,7 +304,7 @@ impl TopologyTrace {
         let initial = net.to_graph();
         debug_assert_eq!(net.active_count(), n, "models do not deactivate during init");
         net.track_changes(true);
-        let mut steps = Vec::new();
+        let mut steps = StepColumns::default();
         let informed = |v: Node| v == source;
         loop {
             let t = driver.next_time(rng);
@@ -261,12 +312,10 @@ impl TopologyTrace {
                 break;
             }
             let (te, _impact) = driver.step(state, &mut net, &informed, rng);
-            let step = step_from_changes(net.changes(), te);
+            steps.push_journal(te, net.changes());
             net.clear_changes();
-            if !step.is_empty() {
-                steps.push(step);
-            }
         }
+        steps.shrink_to_fit();
         TopologyTrace { initial, steps, horizon }
     }
 
@@ -282,8 +331,8 @@ impl TopologyTrace {
     }
 
     /// The recorded steps, in time order.
-    pub fn steps(&self) -> &[TraceStep] {
-        &self.steps
+    pub fn steps(&self) -> impl ExactSizeIterator<Item = TraceStep<'_>> + '_ {
+        (0..self.len()).map(|i| self.steps.get(i).expect("index below len"))
     }
 
     /// Number of recorded (effective) topology changes.
@@ -293,7 +342,7 @@ impl TopologyTrace {
 
     /// Whether the realization contains no changes.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.steps.len() == 0
     }
 
     /// The recorded time horizon; replay freezes the topology beyond it.
@@ -307,10 +356,10 @@ impl TopologyTrace {
     /// trace walks exactly this sequence (prefix up to where it stops).
     pub fn snapshots(&self) -> Vec<Graph> {
         let mut net = MutableGraph::from_graph(&self.initial);
-        let mut out = Vec::with_capacity(self.steps.len() + 1);
+        let mut out = Vec::with_capacity(self.len() + 1);
         out.push(self.initial.clone());
-        for step in &self.steps {
-            apply_step(&mut net, step);
+        for step in self.steps() {
+            step.apply(&mut net);
             out.push(net.to_graph());
         }
         out
@@ -357,8 +406,8 @@ impl TopologyModel for TraceReplayer<'_> {
         // runs back to back.
         self.cursor = 0;
         net.replace_edges_with(&self.trace.initial);
-        if let Some(first) = self.trace.steps.first() {
-            queue.push(first.time, TopoEvent::Replay(0));
+        if let Some(&first) = self.trace.steps.times.first() {
+            queue.push(first, TopoEvent::Replay(0));
         }
     }
 
@@ -375,11 +424,11 @@ impl TopologyModel for TraceReplayer<'_> {
             unreachable!("a replayer schedules only replay steps");
         };
         debug_assert_eq!(i as usize, self.cursor, "replay steps fire in order");
-        let step = &self.trace.steps[i as usize];
-        apply_step(net, step);
+        let step = self.trace.steps.get(i as usize).expect("replay step in range");
+        step.apply(net);
         self.cursor = i as usize + 1;
-        if let Some(next) = self.trace.steps.get(self.cursor) {
-            queue.push(next.time, TopoEvent::Replay(self.cursor as u32));
+        if let Some(&next) = self.trace.steps.times.get(self.cursor) {
+            queue.push(next, TopoEvent::Replay(self.cursor as u32));
         }
         step.impact()
     }
@@ -396,7 +445,7 @@ impl TopologyModel for TraceReplayer<'_> {
 pub struct TraceRecorder<'a> {
     inner: Box<dyn TopologyModel + 'a>,
     initial: Option<Graph>,
-    steps: Vec<TraceStep>,
+    steps: StepColumns,
     last_time: f64,
 }
 
@@ -408,7 +457,7 @@ impl<'a> TraceRecorder<'a> {
 
     /// A recorder around an existing model state.
     pub fn wrap(inner: Box<dyn TopologyModel + 'a>) -> Self {
-        Self { inner, initial: None, steps: Vec::new(), last_time: 0.0 }
+        Self { inner, initial: None, steps: StepColumns::default(), last_time: 0.0 }
     }
 
     /// The recorded trace; the horizon is the last event's time.
@@ -417,18 +466,17 @@ impl<'a> TraceRecorder<'a> {
     ///
     /// Panics if no engine run initialized the recorder.
     pub fn into_trace(self) -> TopologyTrace {
-        let initial = self.initial.expect("recorder was never run through an engine");
-        TopologyTrace { initial, steps: self.steps, horizon: self.last_time }
+        let Self { initial, mut steps, last_time, .. } = self;
+        let initial = initial.expect("recorder was never run through an engine");
+        steps.shrink_to_fit();
+        TopologyTrace { initial, steps, horizon: last_time }
     }
 
     /// Reads the effective step of one applied/fired event off the
     /// graph's change journal.
     fn journal(&mut self, t: f64, net: &mut MutableGraph) {
-        let step = step_from_changes(net.changes(), t);
+        self.steps.push_journal(t, net.changes());
         net.clear_changes();
-        if !step.is_empty() {
-            self.steps.push(step);
-        }
         self.last_time = t;
     }
 }
@@ -567,7 +615,7 @@ pub fn run_trace_lazy_under(
             if step.time > tt {
                 break;
             }
-            apply_step(&mut net, step);
+            step.apply(&mut net);
             cursor += 1;
             topology_events += 1;
         }
@@ -629,7 +677,7 @@ pub fn run_sync_dynamic(
             if step.time > boundary {
                 break;
             }
-            apply_step(&mut net, step);
+            step.apply(&mut net);
             cursor += 1;
         }
         crate::sync::exchange_round(r, mode, &mut informed_round, &mut informed_count, |v| {
@@ -680,13 +728,40 @@ mod tests {
         for (name, model) in all_models() {
             let trace = TopologyTrace::record(&g, 0, &model, &mut rng(2), 12.0);
             assert!(!trace.is_empty(), "{name}: no steps recorded");
-            assert!(
-                trace.steps().windows(2).all(|w| w[0].time <= w[1].time),
-                "{name}: out-of-order steps"
-            );
+            assert!(trace.steps.times.is_sorted(), "{name}: out-of-order steps");
             for step in trace.steps() {
-                assert!(!step.is_empty(), "{name}: no-op step recorded");
+                assert!(!step.ops.is_empty(), "{name}: no-op step recorded");
                 assert!(step.time > 0.0 && step.time <= trace.horizon(), "{name}: bad time");
+            }
+        }
+    }
+
+    #[test]
+    fn steps_are_canonical_and_impacts_match_the_sorted_touched_set() {
+        let g = generators::gnp_connected(32, 0.2, &mut rng(40), 100);
+        for contract in [RngContract::V1, RngContract::V2] {
+            for (name, model) in all_models() {
+                let trace =
+                    TopologyTrace::record_under(contract, &g, 0, &model, &mut rng(41), 12.0);
+                for step in trace.steps() {
+                    assert!(step.ops.is_sorted_by_key(apply_order), "{name}: non-canonical step");
+                    let mut touched: Vec<Node> = step
+                        .ops
+                        .iter()
+                        .flat_map(|&op| match op {
+                            GraphChange::EdgeRemoved(u, v) | GraphChange::EdgeAdded(u, v) => {
+                                vec![u, v]
+                            }
+                            GraphChange::NodeDeactivated(v) | GraphChange::NodeActivated(v) => {
+                                vec![v]
+                            }
+                        })
+                        .collect();
+                    touched.sort_unstable();
+                    touched.dedup();
+                    let want = (touched.len() <= 3).then_some(&touched[..]);
+                    assert_eq!(step.impact().touched(), want, "{name} at t = {}", step.time);
+                }
             }
         }
     }
@@ -713,8 +788,8 @@ mod tests {
             // Applying steps one by one through a replayer's own
             // primitive walks the same sequence.
             let mut net = MutableGraph::from_graph(trace.initial());
-            for (i, step) in trace.steps().iter().enumerate() {
-                apply_step(&mut net, step);
+            for (i, step) in trace.steps().enumerate() {
+                step.apply(&mut net);
                 assert_eq!(net.to_graph(), snapshots[i + 1], "{name} step {i}");
             }
         }
@@ -778,15 +853,18 @@ mod tests {
         let rerecorded = trace_prefix(&trace, out.topology_events as usize);
         let got = recorder.into_trace();
         assert_eq!(got.initial(), rerecorded.initial());
-        assert_eq!(got.steps(), rerecorded.steps());
+        assert!(got.steps().eq(rerecorded.steps()));
     }
 
     fn trace_prefix(trace: &TopologyTrace, len: usize) -> TopologyTrace {
-        TopologyTrace {
-            initial: trace.initial.clone(),
-            steps: trace.steps[..len].to_vec(),
-            horizon: trace.horizon,
-        }
+        let c = &trace.steps;
+        let ops = if len == 0 { 0 } else { c.ends[len - 1] as usize };
+        let steps = StepColumns {
+            times: c.times[..len].to_vec(),
+            ends: c.ends[..len].to_vec(),
+            ops: c.ops[..ops].to_vec(),
+        };
+        TopologyTrace { initial: trace.initial.clone(), steps, horizon: trace.horizon }
     }
 
     #[test]
@@ -843,12 +921,9 @@ mod tests {
             let trace =
                 TopologyTrace::record_under(RngContract::V2, &g, 0, &model, &mut rng(34), 12.0);
             assert!(!trace.is_empty(), "{name}: no steps recorded");
-            assert!(
-                trace.steps().windows(2).all(|w| w[0].time <= w[1].time),
-                "{name}: out-of-order steps"
-            );
+            assert!(trace.steps.times.is_sorted(), "{name}: out-of-order steps");
             for step in trace.steps() {
-                assert!(!step.is_empty(), "{name}: no-op step recorded");
+                assert!(!step.ops.is_empty(), "{name}: no-op step recorded");
                 assert!(step.time > 0.0 && step.time <= trace.horizon(), "{name}: bad time");
             }
         }
@@ -874,7 +949,7 @@ mod tests {
         assert!(out.completed);
         let trace = recorder.into_trace();
         assert_eq!(trace.len() as u64, out.topology_events);
-        assert!(trace.steps().windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(trace.steps.times.is_sorted());
     }
 
     #[test]

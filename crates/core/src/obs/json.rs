@@ -11,6 +11,9 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value with insertion-ordered object keys.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -153,9 +156,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with a byte offset on malformed input.
+    /// Returns a message with a byte offset on malformed input, or on
+    /// arrays/objects nested more than [`MAX_DEPTH`] deep (the parser
+    /// recurses per level, so unbounded input depth would overflow the
+    /// stack).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -193,6 +199,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,8 +242,15 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_lit("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -411,6 +426,16 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1.2.3", "\"unterminated", "{} extra"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Deep enough to overflow the stack of an unbounded recursion.
+        assert!(Json::parse(&"{\"a\":[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -1640,7 +1640,7 @@ impl Simulation {
                 // hit replays the miss path bit-for-bit.
                 let trace = match self.caches.as_ref().and_then(cache::CacheBinding::trace_key) {
                     Some((caches, prefix)) => caches.trace_or_record(prefix, trace_seed, record),
-                    None => record(),
+                    None => Arc::new(record()),
                 };
                 self.coupled_on_trace(&trace, proto_seed)
             }

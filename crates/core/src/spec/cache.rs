@@ -8,7 +8,8 @@
 //! the producing spec components — the same canonical text the `.spec`
 //! artifact records — plus, for traces, the per-trial trace seed. Two
 //! requests that would record the identical realization therefore share
-//! one recording.
+//! one recording. Cached traces are shared as [`Arc`]s, so a hit hands
+//! out the recording without copying it.
 //!
 //! Caching is strictly transparent: a cached simulation produces the
 //! same [`RunReport`](super::RunReport) payload as an uncached one (the
@@ -29,9 +30,42 @@ use crate::engine::TopologyTrace;
 
 use super::{graph_to_text, topology_to_text, GraphSpec, SimSpec, SpecError, Topology};
 
-/// Recorded traces retained at most; past this the cache stops
-/// inserting (it never evicts, so hits stay deterministic).
+/// Recorded traces retained at most; inserting past this evicts the
+/// least recently used one.
 const TRACE_CACHE_CAP: usize = 1024;
+
+/// The trace cache: entries stamped with the tick of their last use.
+#[derive(Debug, Default)]
+struct TraceLru {
+    map: HashMap<(String, u64), (Arc<TopologyTrace>, u64)>,
+    tick: u64,
+}
+
+impl TraceLru {
+    fn get(&mut self, key: &(String, u64)) -> Option<Arc<TopologyTrace>> {
+        let (trace, used) = self.map.get_mut(key)?;
+        self.tick += 1;
+        *used = self.tick;
+        Some(Arc::clone(trace))
+    }
+
+    /// Inserts `trace` unless `key` is present (a racing recorder got
+    /// there first), evicting the least recently used entry when full.
+    /// The eviction scan is O(cap), paid only on a miss, next to which
+    /// recording the trace costs far more.
+    fn insert(&mut self, key: (String, u64), trace: &Arc<TopologyTrace>) {
+        self.tick += 1;
+        if let Some((_, used)) = self.map.get_mut(&key) {
+            *used = self.tick;
+            return;
+        }
+        if self.map.len() >= TRACE_CACHE_CAP {
+            let oldest = self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k.clone());
+            self.map.remove(&oldest.expect("a full cache has entries"));
+        }
+        self.map.insert(key, (Arc::clone(trace), self.tick));
+    }
+}
 
 /// Shared caches for graph builds and recorded topology traces, with
 /// hit/miss counters. Cheap to share via [`Arc`]; all methods take
@@ -39,7 +73,7 @@ const TRACE_CACHE_CAP: usize = 1024;
 #[derive(Debug, Default)]
 pub struct RunCaches {
     graphs: Mutex<HashMap<String, Graph>>,
-    traces: Mutex<HashMap<(String, u64), TopologyTrace>>,
+    traces: Mutex<TraceLru>,
     graph_hits: AtomicU64,
     graph_misses: AtomicU64,
     trace_hits: AtomicU64,
@@ -91,18 +125,15 @@ impl RunCaches {
         prefix: &str,
         trace_seed: u64,
         record: impl FnOnce() -> TopologyTrace,
-    ) -> TopologyTrace {
+    ) -> Arc<TopologyTrace> {
         let key = (prefix.to_owned(), trace_seed);
         if let Some(t) = self.traces.lock().expect("trace cache lock").get(&key) {
             self.trace_hits.fetch_add(1, Ordering::Relaxed);
-            return t.clone();
+            return t;
         }
         self.trace_misses.fetch_add(1, Ordering::Relaxed);
-        let t = record();
-        let mut map = self.traces.lock().expect("trace cache lock");
-        if map.len() < TRACE_CACHE_CAP {
-            map.entry(key).or_insert_with(|| t.clone());
-        }
+        let t = Arc::new(record());
+        self.traces.lock().expect("trace cache lock").insert(key, &t);
         t
     }
 }
@@ -198,6 +229,33 @@ mod tests {
             caches.counters().into_iter().collect();
         assert_eq!(counters["trace_cache_hits"], 0);
         assert_eq!(counters["trace_cache_misses"], 12);
+    }
+
+    #[test]
+    fn full_trace_cache_evicts_the_least_recently_used_entry() {
+        let caches = RunCaches::new();
+        let fill = |seed: u64| {
+            caches.trace_or_record("p", seed, || {
+                let g = rumor_graph::generators::complete(2);
+                let mut rng = rumor_sim::rng::Xoshiro256PlusPlus::seed_from(seed);
+                TopologyTrace::record(&g, 0, &crate::DynamicModel::Static, &mut rng, 1.0)
+            })
+        };
+        let hits = || caches.counters()[2].1;
+        let cap = TRACE_CACHE_CAP as u64;
+        for seed in 0..cap {
+            fill(seed);
+        }
+        fill(0); // re-use entry 0: entry 1 is now the least recently used
+        assert_eq!(hits(), 1);
+        fill(cap); // the (cap + 1)-th distinct key
+        assert_eq!(caches.traces.lock().unwrap().map.len(), TRACE_CACHE_CAP);
+        for survivor in [0, 2, cap] {
+            fill(survivor);
+        }
+        assert_eq!(hits(), 4, "the re-used, an untouched, and the newest entry survive");
+        fill(1);
+        assert_eq!(hits(), 4, "the least recently used entry was evicted");
     }
 
     #[test]

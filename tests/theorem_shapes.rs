@@ -1,6 +1,6 @@
 //! End-to-end miniatures of the paper's two main theorems, run across a
 //! matrix of graph families. These are the headline claims; the full
-//! sweeps live in the experiment binaries (EXPERIMENTS.md).
+//! sweeps live in the experiment binaries (`exp_t1`, `exp_t2`).
 
 use rumor_spreading::core::runner::high_probability_time;
 use rumor_spreading::core::spec::{Protocol, SimSpec};
