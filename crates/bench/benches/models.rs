@@ -17,9 +17,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 // measures, parameter drift included.
 use rumor_analysis::experiments::e22_models::matched_models;
 use rumor_core::Mode;
-use rumor_core::{run_dynamic_sharded_under, run_dynamic_under, RngContract};
+use rumor_core::{
+    run_dynamic_lazy, run_dynamic_sharded_under, run_dynamic_under, DynamicModel, RngContract,
+};
 use rumor_graph::dynamic::MutableGraph;
-use rumor_graph::{generators, Node};
+use rumor_graph::geometry::GridIndex;
+use rumor_graph::{generators, GraphBuilder, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 fn bench_models_sequential(c: &mut Criterion) {
@@ -264,12 +267,115 @@ fn bench_hotpath_components(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_topology_kernels_1024(c: &mut Criterion) {
+    // The kernels under the gnp_1024 `mobility` and lazy `markov` rows.
+    // One geometric-mobility move is split into its grid query (rebucket
+    // + radius scan) and its rewire (`replace_neighbors`, relaxed
+    // adjacency as under v2); `mobility_move` runs both, as the engine
+    // does. Each mobility row replays the same MOVES-step walk from the
+    // matched suite's starting positions, so a row's time / MOVES is
+    // the per-move cost.
+    const MOVES: usize = 10_000;
+    let mut group = c.benchmark_group("topology_kernels_gnp_1024");
+    group.sample_size(20);
+    let n = 1024;
+    let p = 2.0 * (n as f64).ln() / n as f64;
+    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200);
+    let models = matched_models(&g);
+    let model = |name: &str| models.iter().find(|(m, _)| *m == name).expect("matched suite").1;
+    let DynamicModel::Mobility(mobility) = model("mobility") else {
+        unreachable!("the matched suite's mobility entry");
+    };
+
+    // Starting positions and a bounded random walk drawn the way the
+    // mobility model draws its moves.
+    let mut setup = Xoshiro256PlusPlus::seed_from(23);
+    let start: Vec<(f64, f64)> = (0..n).map(|_| (setup.f64_unit(), setup.f64_unit())).collect();
+    let mut pos = start.clone();
+    let walk: Vec<(Node, f64, f64)> = (0..MOVES)
+        .map(|_| {
+            let v = setup.range_usize(n);
+            let (x, y) = pos[v];
+            let step = mobility.step;
+            pos[v] = (
+                (x + (2.0 * setup.f64_unit() - 1.0) * step).clamp(0.0, 1.0),
+                (y + (2.0 * setup.f64_unit() - 1.0) * step).clamp(0.0, 1.0),
+            );
+            (v as Node, pos[v].0, pos[v].1)
+        })
+        .collect();
+    let mut b = GraphBuilder::new(n);
+    for (u, v) in GridIndex::new(start.clone(), mobility.radius).proximity_edges() {
+        b.add_edge(u, v);
+    }
+    let start_graph = b.build().expect("proximity edges are simple");
+    // The rewire row replays the neighborhoods the query row computes.
+    let mut grid = GridIndex::new(start.clone(), mobility.radius);
+    let targets: Vec<(Node, Vec<Node>)> = walk
+        .iter()
+        .map(|&(v, x, y)| {
+            let mut near = Vec::new();
+            grid.move_to(v, x, y);
+            grid.within_radius(v, &mut near);
+            (v, near)
+        })
+        .collect();
+    drop(grid);
+
+    group.bench_function("mobility_query", |b| {
+        b.iter(|| {
+            let mut grid = GridIndex::new(start.clone(), mobility.radius);
+            let mut near = Vec::new();
+            let mut found = 0usize;
+            for &(v, x, y) in &walk {
+                grid.move_to(v, x, y);
+                grid.within_radius(v, &mut near);
+                found += near.len();
+            }
+            found
+        })
+    });
+    group.bench_function("mobility_rewire", |b| {
+        b.iter(|| {
+            let mut net = MutableGraph::from_graph(&start_graph);
+            net.relax_neighbor_order();
+            for (v, near) in &targets {
+                net.replace_neighbors(*v, near);
+            }
+            net.edge_count()
+        })
+    });
+    group.bench_function("mobility_move", |b| {
+        b.iter(|| {
+            let mut grid = GridIndex::new(start.clone(), mobility.radius);
+            let mut net = MutableGraph::from_graph(&start_graph);
+            net.relax_neighbor_order();
+            let mut near = Vec::new();
+            for &(v, x, y) in &walk {
+                grid.move_to(v, x, y);
+                grid.within_radius(v, &mut near);
+                net.replace_neighbors(v, &near);
+            }
+            net.edge_count()
+        })
+    });
+
+    // A whole run on the lazy-clock engine (dense per-edge clock table).
+    let markov = model("markov");
+    let mut rng = Xoshiro256PlusPlus::seed_from(7);
+    group.bench_function("markov_lazy", |b| {
+        b.iter(|| run_dynamic_lazy(&g, 0, Mode::PushPull, &markov, &mut rng, 100_000_000))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_models_sequential,
     bench_models_sharded,
     bench_models_sequential_1024,
     bench_compaction_threshold_sweep,
-    bench_hotpath_components
+    bench_hotpath_components,
+    bench_topology_kernels_1024
 );
 criterion_main!(benches);

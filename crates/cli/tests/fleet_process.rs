@@ -157,19 +157,15 @@ metrics = off
     assert!(body.contains("\"unit\": \"time units\""), "{body}");
 }
 
-#[test]
-fn serve_answers_a_too_deep_frame_with_an_error_and_keeps_serving() {
-    use std::io::{Read, Write};
+/// One length-prefixed frame.
+fn frame(payload: &str) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+    out.extend(payload.as_bytes());
+    out
+}
 
-    fn frame(payload: &str) -> Vec<u8> {
-        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
-        out.extend(payload.as_bytes());
-        out
-    }
-
-    // 100k nested arrays: an unbounded recursive parser overflows the
-    // stack on this and takes the whole service down with it.
-    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+/// A request frame body running a small valid spec under `id`.
+fn valid_request(id: u32) -> String {
     let spec_text = "\
 spec = v1
 graph = complete n=6
@@ -189,20 +185,25 @@ antithetic = false
 rng_contract = v2
 metrics = off
 ";
-    let valid = format!("{{\"id\": 2, \"spec\": \"{}\"}}", spec_text.replace('\n', "\\n"));
-    let mut input = frame(&deep);
-    input.extend(frame(&valid));
+    format!("{{\"id\": {id}, \"spec\": \"{}\"}}", spec_text.replace('\n', "\\n"))
+}
+
+/// Feeds `input` to one `rumor serve` session over stdio, requires a
+/// clean exit, and returns the response frame bodies.
+fn serve_session(input: &[u8]) -> Vec<String> {
+    use std::io::{Read, Write};
 
     let mut child = rumor()
         .arg("serve")
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
         .spawn()
         .unwrap();
-    child.stdin.take().unwrap().write_all(&input).unwrap();
+    child.stdin.take().unwrap().write_all(input).unwrap();
     let mut output = Vec::new();
     child.stdout.take().unwrap().read_to_end(&mut output).unwrap();
-    assert!(child.wait().unwrap().success(), "serve must survive the deep frame");
+    assert!(child.wait().unwrap().success(), "serve must survive every request");
 
     let mut bodies = Vec::new();
     let mut rest = output.as_slice();
@@ -211,7 +212,35 @@ metrics = off
         bodies.push(std::str::from_utf8(&rest[4..4 + len]).unwrap().to_owned());
         rest = &rest[4 + len..];
     }
+    bodies
+}
+
+#[test]
+fn serve_answers_a_too_deep_frame_with_an_error_and_keeps_serving() {
+    // 100k nested arrays: an unbounded recursive parser overflows the
+    // stack on this and takes the whole service down with it.
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    let mut input = frame(&deep);
+    input.extend(frame(&valid_request(2)));
+
+    let bodies = serve_session(&input);
     assert_eq!(bodies.len(), 2, "{bodies:?}");
     assert!(bodies[0].contains("\"error\"") && bodies[0].contains("nesting"), "{}", bodies[0]);
+    assert!(bodies[1].contains("\"id\": 2") && bodies[1].contains("\"report\""), "{}", bodies[1]);
+}
+
+#[test]
+fn serve_answers_a_panicking_request_with_an_error_and_keeps_serving() {
+    // A well-formed spec whose graph build panics (the adjacency of
+    // K_n for n = 4e9 overflows capacity): the request must get an
+    // error frame carrying its id, not kill the service.
+    let huge = valid_request(1).replace("complete n=6", "complete n=4000000000");
+    let mut input = frame(&huge);
+    input.extend(frame(&valid_request(2)));
+
+    let bodies = serve_session(&input);
+    assert_eq!(bodies.len(), 2, "{bodies:?}");
+    assert!(bodies[0].contains("\"id\": 1") && bodies[0].contains("\"error\""), "{}", bodies[0]);
+    assert!(bodies[0].contains("panicked"), "{}", bodies[0]);
     assert!(bodies[1].contains("\"id\": 2") && bodies[1].contains("\"report\""), "{}", bodies[1]);
 }

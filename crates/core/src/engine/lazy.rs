@@ -14,8 +14,12 @@
 //! all*: a protocol tick of `v` resolves the chains of `v`'s base-incident
 //! edges up to the tick time, contacts a uniformly live neighbor, and
 //! moves on. Edges the protocol never touches never materialize a clock
-//! — topology bookkeeping is O(touched edges), reported as
-//! [`LazyOutcome::clocks_touched`].
+//! and never draw: randomness and flip work are O(touched edges),
+//! reported as [`LazyOutcome::clocks_touched`]. Memory is one dense
+//! clock table indexed by edge id: O(m) per trial, 24 bytes an edge.
+//! A hash map holding only the touched clocks costs at least 37 bytes
+//! an entry, so it is the larger of the two once about two thirds of
+//! the edges are touched, and a run to completion touches nearly all.
 //!
 //! The observed process is exact in distribution: at every touch the
 //! resolved chain state has the exact conditional law given all earlier
@@ -26,8 +30,6 @@
 //! *sequence* of each individual edge is likewise the one an eager
 //! per-edge queue would draw from the same stream (property-tested in
 //! `rumor_sim::events` and `tests/lazy_clocks.rs`).
-
-use std::collections::HashMap;
 
 use rumor_graph::{Graph, Node};
 use rumor_sim::events::{LazyMarkovClock, Superposition};
@@ -58,9 +60,9 @@ pub struct LazyOutcome {
     /// Per node: the time at which it was informed (source: 0.0; never:
     /// `f64::INFINITY`).
     pub informed_time: Vec<f64>,
-    /// Number of edges whose lazy clock was ever materialized — the
-    /// engine's entire topology bookkeeping, versus the `base_edges`
-    /// pending events the eager engine would keep.
+    /// Number of edges whose lazy clock was ever materialized (created
+    /// on first touch) — the only chains that drew randomness, versus
+    /// the `base_edges` pending events the eager engine would keep.
     pub clocks_touched: usize,
     /// Number of base edges (the eager engine's queue size).
     pub base_edges: usize,
@@ -182,26 +184,31 @@ pub fn run_edge_markov_lazy_probed<P: Probe>(
         };
     }
 
-    // Undirected edge ids aligned with CSR adjacency order: first pass
-    // numbers each edge at its (u < v) endpoint, second pass mirrors the
-    // id to the (v > u) side by binary search in the sorted lists.
-    let mut eids: Vec<Vec<u32>> = (0..n as Node).map(|v| vec![0u32; g.degree(v)]).collect();
+    // Undirected edge ids in one flat array aligned with the CSR
+    // adjacency: each edge is numbered at its (u < w) endpoint in CSR
+    // order, and the id is mirrored into w's row at the cursor of w's
+    // lower neighbors — which, visited in ascending u, fill the front
+    // of w's sorted row in order.
+    let offsets = g.offsets();
+    let mut eids = vec![0u32; 2 * base_edges];
+    let mut lower_cursor = offsets[..n].to_vec();
     let mut next_id = 0u32;
-    for v in 0..n as Node {
-        for (i, &w) in g.neighbors(v).iter().enumerate() {
-            if v < w {
-                eids[v as usize][i] = next_id;
-                next_id += 1;
-            } else {
-                let pos = g.neighbors(w).binary_search(&v).expect("CSR adjacency is symmetric");
-                eids[v as usize][i] = eids[w as usize][pos];
-            }
+    for u in 0..n as Node {
+        let row = offsets[u as usize];
+        for (i, &w) in g.neighbors(u).iter().enumerate().filter(|&(_, &w)| u < w) {
+            eids[row + i] = next_id;
+            eids[lower_cursor[w as usize]] = next_id;
+            lower_cursor[w as usize] += 1;
+            next_id += 1;
         }
     }
     debug_assert_eq!(next_id as usize, base_edges);
 
     let clock_seed = rng.next_u64();
-    let mut clocks: HashMap<u32, LazyMarkovClock> = HashMap::new();
+    // Dense clock table by edge id; a clock is created (with its edge's
+    // seed) on the first touch, which is what `clocks_touched` counts.
+    let mut clocks: Vec<Option<LazyMarkovClock>> = vec![None; base_edges];
+    let mut clocks_touched = 0usize;
     let (off, on) = (model.off_rate, model.on_rate);
 
     let mut steps = 0u64;
@@ -223,11 +230,12 @@ pub fn run_edge_markov_lazy_probed<P: Probe>(
         let v = rng.range_usize(n) as Node;
         // Resolve the incident chains up to t; collect the live ones.
         live.clear();
-        for (i, &w) in g.neighbors(v).iter().enumerate() {
-            let eid = eids[v as usize][i];
-            let clock = clocks
-                .entry(eid)
-                .or_insert_with(|| LazyMarkovClock::new(true, edge_seed(clock_seed, eid)));
+        let row = offsets[v as usize];
+        for (&w, &eid) in g.neighbors(v).iter().zip(&eids[row..]) {
+            let clock = clocks[eid as usize].get_or_insert_with(|| {
+                clocks_touched += 1;
+                LazyMarkovClock::new(true, edge_seed(clock_seed, eid))
+            });
             if clock.state_at(t, off, on) {
                 live.push(w);
             }
@@ -259,7 +267,7 @@ pub fn run_edge_markov_lazy_probed<P: Probe>(
     if P::ENABLED {
         probe.trial_end(time, completed);
     }
-    LazyOutcome { time, steps, completed, informed_time, clocks_touched: clocks.len(), base_edges }
+    LazyOutcome { time, steps, completed, informed_time, clocks_touched, base_edges }
 }
 
 #[cfg(test)]

@@ -685,14 +685,13 @@ pub(crate) struct MobilityState {
     cfg: Mobility,
     grid: Option<GridIndex>,
     n: usize,
+    /// The mover's post-move radius neighborhood (reused across events).
     scratch: Vec<Node>,
-    /// Pre-move adjacency of the moving node (reused across events).
-    old: Vec<Node>,
 }
 
 impl MobilityState {
     pub(crate) fn new(m: Mobility) -> Self {
-        Self { cfg: m, grid: None, n: 0, scratch: arena::take_nodes(), old: arena::take_nodes() }
+        Self { cfg: m, grid: None, n: 0, scratch: arena::take_nodes() }
     }
 
     /// Draws positions, indexes them, and installs the proximity graph
@@ -723,23 +722,16 @@ impl MobilityState {
         let ny = (y + (2.0 * rng.f64_unit() - 1.0) * step).clamp(0.0, 1.0);
         grid.move_to(v, nx, ny);
         grid.within_radius(v, &mut self.scratch);
-        // Diff the sorted current adjacency against the sorted radius
-        // query: drop edges that fell out of range, add the newcomers.
-        self.old.clear();
-        self.old.extend(net.neighbors(v));
-        for &w in self.old.iter().filter(|w| !self.scratch.contains(w)) {
-            net.remove_edge(v, w);
-        }
-        for &w in self.scratch.iter().filter(|w| !self.old.contains(w)) {
-            net.add_edge(v, w);
-        }
+        // Rewire to the ascending radius query in one pass: edges that
+        // fell out of range go (in current row order, which is not
+        // sorted under a relaxed adjacency), then the newcomers arrive.
+        net.replace_neighbors(v, &self.scratch);
     }
 }
 
 impl Drop for MobilityState {
     fn drop(&mut self) {
         arena::give_nodes(std::mem::take(&mut self.scratch));
-        arena::give_nodes(std::mem::take(&mut self.old));
     }
 }
 

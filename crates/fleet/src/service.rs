@@ -15,8 +15,10 @@
 //! shared [`RunCaches`] so repeated specs hit the graph and
 //! topology-trace caches.
 
+use std::any::Any;
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixListener;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -54,7 +56,8 @@ pub enum ServiceExit {
 ///
 /// Every request gets exactly one response frame (malformed requests
 /// get an `{id: null, error}` response rather than killing the loop),
-/// flushed before the next read.
+/// flushed before the next read. A request whose build or run panics
+/// gets an `{id, error}` frame too, and serving continues.
 ///
 /// # Errors
 ///
@@ -79,7 +82,7 @@ pub fn run_frames(
 
 fn respond(payload: &[u8], config: &ServiceConfig) -> Json {
     let (id, result) = match parse_request(payload) {
-        Ok((id, request)) => (id, handle(request, config)),
+        Ok((id, request)) => (id, handle_unwinding(request, config)),
         Err(e) => (Json::Null, Err(e)),
     };
     let body = match result {
@@ -106,6 +109,22 @@ fn parse_request(payload: &[u8]) -> Result<(Json, Request), String> {
         return Ok((id, Request::Stats));
     }
     Err("request has neither `spec` nor `stats: true`".to_owned())
+}
+
+/// [`handle`], with a panic inside it reported in-band. Nothing is
+/// left half-updated by the unwind: [`RunCaches`] builds graphs and
+/// records traces outside its locks, so no lock is poisoned, and the
+/// per-request state dies with the request.
+fn handle_unwinding(request: Request, config: &ServiceConfig) -> Result<(String, Json), String> {
+    panic::catch_unwind(AssertUnwindSafe(|| handle(request, config)))
+        .unwrap_or_else(|payload| Err(format!("request panicked: {}", panic_message(&*payload))))
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(message) => message,
+        None => payload.downcast_ref::<String>().map_or("(non-string payload)", String::as_str),
+    }
 }
 
 fn handle(request: Request, config: &ServiceConfig) -> Result<(String, Json), String> {

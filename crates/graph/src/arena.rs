@@ -29,6 +29,7 @@ const MAX_POOLED: usize = 64;
 #[derive(Default)]
 struct Pool {
     nodes: Vec<Vec<Node>>,
+    stamps: Vec<Vec<u32>>,
     offsets: Vec<Vec<usize>>,
     flags: Vec<Vec<bool>>,
     pairs: Vec<Vec<(Node, Node)>>,
@@ -67,6 +68,16 @@ pool_pair!(
     Vec<Node>,
     "An empty node buffer from the pool (or a fresh one).",
     "Returns a node buffer to the pool."
+);
+pool_pair!(
+    take_stamps,
+    give_stamps,
+    stamps,
+    Vec<u32>,
+    "An empty node-indexed stamp table from the pool (or a fresh one). \
+     Kept apart from the node buffers: those grow to adjacency size, and \
+     mixing the two shapes would hand slabs a table and tables a slab.",
+    "Returns a stamp table to the pool."
 );
 pool_pair!(
     take_offsets,

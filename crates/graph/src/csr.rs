@@ -68,6 +68,14 @@ impl Graph {
         Arc::clone(&self.neighbors)
     }
 
+    /// The CSR offset array (length `n + 1`): node `v`'s neighbors sit
+    /// at positions `offsets[v]..offsets[v + 1]` of the concatenated
+    /// adjacency, so per-edge-endpoint side tables can be one flat array
+    /// aligned with it.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
     /// Number of nodes `n`.
     pub fn node_count(&self) -> usize {
         self.offsets.len() - 1

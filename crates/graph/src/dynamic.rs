@@ -186,6 +186,14 @@ pub struct MutableGraph {
     /// contract). `false`: order-relaxed — same sets, insertion-order
     /// lists, O(scan) mutations with no memmove.
     sorted: bool,
+    /// Epoch stamps behind [`replace_neighbors`](Self::replace_neighbors)'
+    /// O(1) membership tests, indexed by node; pooled, sized on first use.
+    stamps: Vec<u32>,
+    /// Relaxed-mode scratch of the same call: the current row position
+    /// of each entry a swap-remove has moved.
+    slots: Vec<u32>,
+    /// Last stamp value handed out (each call takes two).
+    epoch: u32,
 }
 
 impl MutableGraph {
@@ -222,6 +230,9 @@ impl MutableGraph {
             journal: Vec::new(),
             tracking: false,
             sorted: true,
+            stamps: Vec::new(),
+            slots: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -505,6 +516,124 @@ impl MutableGraph {
         true
     }
 
+    /// Rewires `v` to exactly the neighbor set `new` (strictly
+    /// ascending) in one pass over its row — the geometric-mobility move.
+    ///
+    /// Equivalent in every observable respect to the per-edge sequence
+    /// it replaces: [`remove_edge`](Self::remove_edge)`(v, w)` for each
+    /// current neighbor `w` not in `new`, in current row order, then
+    /// [`add_edge`](Self::add_edge)`(v, w)` for each `w` in `new` not
+    /// already present, in `new` order. Same row order in sorted and
+    /// relaxed mode, same journal entries in the same order, same
+    /// `edge_count`, same panics. Membership tests use pooled epoch
+    /// stamps, so the call is O(deg(v) + |new|) plus the reverse-entry
+    /// edits, where the per-edge sequence rescans `v`'s row every time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or an entry of `new` is out of range, `new` holds
+    /// `v` itself or an inactive node, `new` is nonempty while `v` is
+    /// inactive, or `new` is not strictly ascending.
+    pub fn replace_neighbors(&mut self, v: Node, new: &[Node]) {
+        let n = self.node_count();
+        let vi = v as usize;
+        assert!(vi < n, "node {v} out of range for {n} nodes");
+        assert!(new.windows(2).all(|p| p[0] < p[1]), "new neighbors of {v} must be ascending");
+        // `add_edge`'s checks, in its order. Entries already adjacent
+        // pass them by construction, so checking every entry up front
+        // panics exactly where the per-edge sequence would.
+        for &w in new {
+            assert!(w != v, "self-loop at node {v}");
+            assert!((w as usize) < n, "edge ({v}, {w}) out of range for {n} nodes");
+            assert!(
+                self.active[vi] && self.active[w as usize],
+                "edge ({v}, {w}) touches an inactive node"
+            );
+        }
+        if !self.active[vi] {
+            return; // `new` is empty and an inactive node has no edges
+        }
+        let (wanted, kept) = self.next_epochs();
+        for &w in new {
+            self.stamps[w as usize] = wanted;
+        }
+
+        // Removals, in current row order.
+        let sv = self.touch(v);
+        let s = self.rows[sv].start as usize;
+        let old_len = self.rows[sv].len as usize;
+        // Sorted mode filters the row stably (what successive
+        // `row_remove`s leave). Relaxed mode replays successive
+        // `swap_remove`s: entry `k` still sits at `k` while `k < live`;
+        // once the tail has passed it, it was moved and `slots` knows
+        // where. Either way `slab[s + k]` still holds the k-th entry of
+        // the old row when it is visited (writes land at or below `k`).
+        let mut live = old_len;
+        let mut removed = 0usize;
+        for k in 0..old_len {
+            let w = self.slab[s + k];
+            let wi = w as usize;
+            if self.stamps[wi] == wanted {
+                self.stamps[wi] = kept;
+                if self.sorted {
+                    self.slab[s + k - removed] = w;
+                }
+                continue;
+            }
+            if !self.sorted {
+                let p = if k < live { k } else { self.slots[wi] as usize };
+                live -= 1;
+                let last = self.slab[s + live];
+                self.slab[s + p] = last;
+                self.slots[last as usize] = p as u32;
+            }
+            let sw = self.touch(w);
+            if self.sorted {
+                let j = self.row(sw).binary_search(&v).expect("adjacency is symmetric");
+                self.row_remove(sw, j);
+            } else {
+                assert!(self.row_find_swap_remove(sw, v), "adjacency is symmetric");
+            }
+            if self.tracking {
+                self.journal.push(GraphChange::EdgeRemoved(v.min(w), v.max(w)));
+            }
+            removed += 1;
+        }
+        self.rows[sv].len = (old_len - removed) as u32;
+
+        // Additions, in `new` order.
+        let mut added = 0usize;
+        for &w in new {
+            if self.stamps[w as usize] == kept {
+                continue;
+            }
+            let sw = self.touch(w);
+            if self.sorted {
+                let j = self.row(sw).binary_search(&v).expect_err("adjacency is symmetric");
+                self.row_insert(sw, j, v);
+            } else {
+                self.row_push(sv, w);
+                self.row_push(sw, v);
+            }
+            if self.tracking {
+                self.journal.push(GraphChange::EdgeAdded(v.min(w), v.max(w)));
+            }
+            added += 1;
+        }
+        if self.sorted && added > 0 {
+            // The sorted row of the final set is `new` itself.
+            while (self.rows[sv].cap as usize) < new.len() {
+                self.grow_row(sv);
+            }
+            let s = self.rows[sv].start as usize;
+            self.slab[s..s + new.len()].copy_from_slice(new);
+            self.rows[sv].len = new.len() as u32;
+        }
+        self.overlay_entries = self.overlay_entries + 2 * added - 2 * removed;
+        self.edge_count = self.edge_count + added - removed;
+        self.maybe_compact();
+    }
+
     /// Whether `v` currently participates in the network.
     #[inline]
     pub fn is_active(&self, v: Node) -> bool {
@@ -766,6 +895,28 @@ impl MutableGraph {
         }
     }
 
+    /// Two fresh stamp values `(e, e + 1)` for
+    /// [`replace_neighbors`](Self::replace_neighbors), sizing the
+    /// pooled scratch on first use and restarting the epochs (after
+    /// zeroing the stamps) before they could wrap.
+    fn next_epochs(&mut self) -> (u32, u32) {
+        let n = self.node_count();
+        if self.stamps.len() < n {
+            self.stamps = arena::take_stamps();
+            self.stamps.resize(n, 0);
+        }
+        if !self.sorted && self.slots.len() < n {
+            self.slots = arena::take_stamps();
+            self.slots.resize(n, 0);
+        }
+        if self.epoch > u32::MAX - 2 {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        (self.epoch - 1, self.epoch)
+    }
+
     #[inline]
     fn row_clear(&mut self, idx: usize) {
         self.rows[idx].len = 0;
@@ -898,6 +1049,9 @@ impl Clone for MutableGraph {
             journal: self.journal.clone(),
             tracking: self.tracking,
             sorted: self.sorted,
+            stamps: Vec::new(),
+            slots: Vec::new(),
+            epoch: 0,
         }
     }
 }
@@ -906,6 +1060,13 @@ impl Drop for MutableGraph {
     fn drop(&mut self) {
         arena::give_flags(std::mem::take(&mut self.active));
         arena::give_nodes(std::mem::take(&mut self.slab));
+        // Never-used scratch owns no allocation; pooling it would bury
+        // warm buffers under empty ones.
+        for scratch in [&mut self.stamps, &mut self.slots] {
+            if scratch.capacity() > 0 {
+                arena::give_stamps(std::mem::take(scratch));
+            }
+        }
         std::mem::replace(&mut self.base, BaseStore::hollow()).recycle();
     }
 }

@@ -9,6 +9,14 @@
 //! the query point: O(occupancy) instead of O(n), the standard uniform
 //! cell list of computational-geometry folklore.
 //!
+//! The query itself is branch-free: it sizes its output to the block's
+//! candidate count, writes every candidate, and advances the length by
+//! the 0/1 outcome of the distance test, then sorts. At the mobility
+//! benchmark's density that is ~41 candidates of which ~14 are kept,
+//! a test outcome no branch predictor can learn. The distance
+//! expression and the ascending output are those of the plain filter
+//! loop, so results are bit-identical.
+//!
 //! The index is deterministic: cell membership follows insertion and
 //! move order, so simulations driven by a seeded RNG replay identically.
 //!
@@ -120,30 +128,30 @@ impl GridIndex {
 
     /// Collects into `out` every node `u != v` with
     /// `dist(u, v) <= radius`, ascending. Only the 3 × 3 cell
-    /// neighborhood of `v` is inspected.
+    /// neighborhood of `v` is inspected, without a data-dependent branch
+    /// (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn within_radius(&self, v: Node, out: &mut Vec<Node>) {
-        out.clear();
         let (x, y) = self.pos[v as usize];
         let r2 = self.radius * self.radius;
         let (cx, cy) = self.cell_coords((x, y));
-        for gy in cy.saturating_sub(1)..=(cy + 1).min(self.cols - 1) {
-            for gx in cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1) {
-                for &u in &self.cells[gy * self.cols + gx] {
-                    if u == v {
-                        continue;
-                    }
-                    let (ux, uy) = self.pos[u as usize];
-                    let (dx, dy) = (ux - x, uy - y);
-                    if dx * dx + dy * dy <= r2 {
-                        out.push(u);
-                    }
-                }
-            }
+        let (gx0, gx1) = (cx.saturating_sub(1), (cx + 1).min(self.cols - 1));
+        // Each row of the block is a contiguous run of cells.
+        let block = (cy.saturating_sub(1)..=(cy + 1).min(self.cols - 1))
+            .map(|gy| &self.cells[gy * self.cols + gx0..=gy * self.cols + gx1]);
+        out.clear();
+        out.resize(block.clone().flatten().map(Vec::len).sum(), 0);
+        let mut len = 0;
+        for &u in block.flatten().flatten() {
+            let (ux, uy) = self.pos[u as usize];
+            let (dx, dy) = (ux - x, uy - y);
+            out[len] = u;
+            len += usize::from((dx * dx + dy * dy <= r2) & (u != v));
         }
+        out.truncate(len);
         out.sort_unstable();
     }
 

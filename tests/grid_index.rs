@@ -116,3 +116,76 @@ proptest! {
         prop_assert_eq!(edges.len() * 2, count);
     }
 }
+
+/// Every node's radius query against the oracle.
+fn assert_all_match_brute(pts: &[(f64, f64)], r: f64) {
+    let grid = GridIndex::new(pts.to_vec(), r);
+    let mut near = Vec::new();
+    for v in 0..pts.len() {
+        grid.within_radius(v as Node, &mut near);
+        assert_eq!(near, brute(pts, v, r), "r {r} node {v} at {:?}", pts[v]);
+    }
+}
+
+/// Sixteen filler points keep the grid at `floor(1 / r)` columns (the
+/// `sqrt(n)` cap would otherwise shrink it).
+fn filler() -> Vec<(f64, f64)> {
+    (0..16).map(|i| (0.03 + 0.06 * i as f64, 0.97 - 0.05 * i as f64)).collect()
+}
+
+#[test]
+fn exact_radius_on_an_axis_is_inside() {
+    // r = 0.25 and the offsets are exact in binary, so the four axis
+    // neighbors sit at distance exactly r: `<=` keeps them, and a point
+    // one ulp further out is dropped.
+    let mut pts = vec![(0.5, 0.5), (0.75, 0.5), (0.25, 0.5), (0.5, 0.75), (0.5, 0.25)];
+    pts.push((0.75f64.next_up(), 0.5));
+    pts.extend(filler());
+    assert_all_match_brute(&pts, 0.25);
+    let grid = GridIndex::new(pts.clone(), 0.25);
+    let mut near = Vec::new();
+    grid.within_radius(0, &mut near);
+    for u in 1..=4 {
+        assert!(near.contains(&u), "axis point {u} at distance exactly r is missing");
+    }
+    assert!(!near.contains(&5), "the point just beyond r was reported");
+}
+
+#[test]
+fn cell_borders_and_the_unit_square_edges() {
+    // With r = 0.25 the cells are 0.25 wide: put points on every cell
+    // border and on the coordinates 0 and 1 (which clamps into the last
+    // cell), in every combination.
+    let coords = [0.0, 0.25, 0.5, 0.75, 1.0];
+    let mut pts: Vec<(f64, f64)> =
+        coords.iter().flat_map(|&x| coords.iter().map(move |&y| (x, y))).collect();
+    pts.extend(filler());
+    for r in [0.25, 0.2, 0.3, 0.5] {
+        assert_all_match_brute(&pts, r);
+    }
+}
+
+#[test]
+fn duplicates_of_the_query_point_are_reported_and_the_point_is_not() {
+    let mut pts = vec![(0.4, 0.6); 4];
+    pts.extend([(0.0, 0.0), (1.0, 1.0)]);
+    pts.extend(vec![(1.0, 0.0); 3]);
+    pts.extend(filler());
+    assert_all_match_brute(&pts, 0.1);
+    let grid = GridIndex::new(pts, 0.1);
+    let mut near = Vec::new();
+    grid.within_radius(2, &mut near);
+    assert_eq!(&near[..3], &[0, 1, 3], "the three copies at distance 0, not the query itself");
+}
+
+#[test]
+fn a_single_column_grid() {
+    // floor(1 / r) = 1 for r > 0.5, and a lone point caps sqrt(n) at 1:
+    // the whole square is one cell, so the 3 x 3 block is that cell.
+    let mut pts = filler();
+    pts.extend([(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5)]);
+    for r in [0.6, 0.9, 1.0, 1.5] {
+        assert_all_match_brute(&pts, r);
+    }
+    assert_all_match_brute(&[(0.3, 0.7)], 0.1);
+}

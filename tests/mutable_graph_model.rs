@@ -239,3 +239,108 @@ proptest! {
         assert_identical_draws(&net, &reference, n, seed ^ 0xBEEF);
     }
 }
+
+// ---- one-pass rewiring --------------------------------------------------
+
+/// The per-edge sequence `replace_neighbors(v, new)` must be equivalent
+/// to: remove every current neighbor not in `new` (in current row
+/// order), then add every entry of `new` (a no-op where present).
+fn rewire_per_edge(net: &mut MutableGraph, v: Node, new: &[Node]) {
+    let old = net.neighbors(v).to_vec();
+    for &w in old.iter().filter(|w| !new.contains(w)) {
+        net.remove_edge(v, w);
+    }
+    for &w in new {
+        net.add_edge(v, w);
+    }
+}
+
+/// A random ascending target set for `v`: each other active node joins
+/// with probability `density / 8`.
+fn random_targets(
+    net: &MutableGraph,
+    v: Node,
+    density: u64,
+    rng: &mut Xoshiro256PlusPlus,
+) -> Vec<Node> {
+    (0..net.node_count() as Node)
+        .filter(|&w| w != v && net.is_active(w) && (rng.next_u64() % 8) < density)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `replace_neighbors` is observably identical to the per-edge
+    /// remove/add sequence on a clone — every row (order included),
+    /// `edge_count`, the change journal, and later neighbor draws — in
+    /// sorted and relaxed mode, at compaction thresholds 0, 64, and the
+    /// default, with inactive nodes in the graph.
+    #[test]
+    fn replace_neighbors_matches_per_edge_rewiring(
+        n in 6usize..28,
+        seed in 0u64..1_000,
+        relaxed in 0usize..2,
+        threshold in 0usize..3,
+        moves in proptest::collection::vec((0usize..64, 0u64..9), 1..40),
+    ) {
+        let p = 3.0 * (n as f64).ln() / n as f64;
+        let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(seed), 200);
+        let mut fast = MutableGraph::from_graph(&g);
+        if relaxed == 1 {
+            fast.relax_neighbor_order();
+        }
+        match threshold {
+            0 => fast.set_compaction_threshold(0),
+            1 => fast.set_compaction_threshold(64),
+            _ => {}
+        }
+        // Two departed nodes: targets must skip them, and rewiring a
+        // departed node to nothing is a no-op.
+        fast.deactivate((seed % n as u64) as Node);
+        fast.deactivate(((seed / 7) % n as u64) as Node);
+        fast.track_changes(true);
+        let mut slow = fast.clone();
+        let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ 0x5EED);
+        for (step, &(a, density)) in moves.iter().enumerate() {
+            let v = (a % n) as Node;
+            let new = if fast.is_active(v) {
+                random_targets(&fast, v, density, &mut rng)
+            } else {
+                Vec::new()
+            };
+            fast.replace_neighbors(v, &new);
+            rewire_per_edge(&mut slow, v, &new);
+            prop_assert_eq!(fast.edge_count(), slow.edge_count(), "step {} edge count", step);
+            prop_assert_eq!(fast.changes(), slow.changes(), "step {} journal", step);
+            for u in 0..n as Node {
+                prop_assert_eq!(fast.neighbors(u), slow.neighbors(u), "step {} row {}", step, u);
+            }
+            fast.clear_changes();
+            slow.clear_changes();
+        }
+        let mut a = Xoshiro256PlusPlus::seed_from(seed ^ 0xD1CE);
+        let mut b = Xoshiro256PlusPlus::seed_from(seed ^ 0xD1CE);
+        for v in (0..n as Node).filter(|&v| fast.degree(v) > 0) {
+            for _ in 0..8 {
+                prop_assert_eq!(fast.random_neighbor(v, &mut a), slow.random_neighbor(v, &mut b));
+            }
+        }
+        prop_assert_eq!(a.next_u64(), b.next_u64(), "RNG streams diverged");
+    }
+}
+
+#[test]
+#[should_panic(expected = "self-loop at node 2")]
+fn replace_neighbors_rejects_a_self_loop() {
+    let mut net = MutableGraph::from_graph(&generators::cycle(6));
+    net.replace_neighbors(2, &[1, 2, 3]);
+}
+
+#[test]
+#[should_panic(expected = "touches an inactive node")]
+fn replace_neighbors_rejects_an_inactive_target() {
+    let mut net = MutableGraph::from_graph(&generators::cycle(6));
+    net.deactivate(4);
+    net.replace_neighbors(2, &[1, 4]);
+}
