@@ -77,7 +77,7 @@ pub fn worker(tokens: &[String]) -> Result<String, CliError> {
                 .map_err(|_| CliError::Usage(format!("cannot parse --exit-after from `{raw}`")))?,
         ),
     };
-    let config = ServiceConfig { caches: None, exit_after };
+    let config = ServiceConfig { exit_after, ..ServiceConfig::default() };
     let exit = run_frames(&mut std::io::stdin().lock(), &mut std::io::stdout().lock(), &config)?;
     match exit {
         ServiceExit::Eof(_) => Ok(String::new()),
@@ -95,7 +95,7 @@ pub fn serve(tokens: &[String]) -> Result<String, CliError> {
     let caches = Arc::new(RunCaches::default());
     let socket = args.opt_str("socket", "");
     if socket.is_empty() {
-        let config = ServiceConfig { caches: Some(caches), exit_after: None };
+        let config = ServiceConfig { caches: Some(caches), ..ServiceConfig::default() };
         run_frames(&mut std::io::stdin().lock(), &mut std::io::stdout().lock(), &config)?;
         return Ok(String::new());
     }

@@ -237,10 +237,36 @@ fn serve_answers_a_panicking_request_with_an_error_and_keeps_serving() {
     let huge = valid_request(1).replace("complete n=6", "complete n=4000000000");
     let mut input = frame(&huge);
     input.extend(frame(&valid_request(2)));
+    input.extend(frame("{\"id\": 3, \"stats\": true}"));
 
     let bodies = serve_session(&input);
-    assert_eq!(bodies.len(), 2, "{bodies:?}");
+    assert_eq!(bodies.len(), 3, "{bodies:?}");
     assert!(bodies[0].contains("\"id\": 1") && bodies[0].contains("\"error\""), "{}", bodies[0]);
     assert!(bodies[0].contains("panicked"), "{}", bodies[0]);
     assert!(bodies[1].contains("\"id\": 2") && bodies[1].contains("\"report\""), "{}", bodies[1]);
+    // The service counted the panic, and the error frame it sent.
+    for counter in ["\"requests\": 3", "\"error_frames\": 1", "\"panicked_requests\": 1"] {
+        assert!(bodies[2].contains(counter), "missing {counter}: {}", bodies[2]);
+    }
+}
+
+#[test]
+fn serve_decodes_a_4_mib_request_in_linear_time() {
+    // A 4 MiB string field with an escape every few bytes and multibyte
+    // chars. A parser that re-validates the rest of the input per char
+    // needs hours on this; a linear one, well under a second.
+    let pad = r#"pad\"é\n日\u0041🦀\\"#.repeat((4 << 20) / 24);
+    let padded =
+        valid_request(1).replacen("{\"id\": 1, ", &format!("{{\"id\": 1, \"pad\": \"{pad}\", "), 1);
+    assert!(padded.len() > 4 << 20);
+    let mut input = frame(&padded);
+    input.extend(frame(&valid_request(2)));
+
+    let start = std::time::Instant::now();
+    let bodies = serve_session(&input);
+    let elapsed = start.elapsed();
+    assert_eq!(bodies.len(), 2, "{bodies:?}");
+    assert!(bodies[0].contains("\"id\": 1") && bodies[0].contains("\"report\""), "{}", bodies[0]);
+    assert!(bodies[1].contains("\"id\": 2") && bodies[1].contains("\"report\""), "{}", bodies[1]);
+    assert!(elapsed.as_secs_f64() < 30.0, "the session took {elapsed:?}");
 }

@@ -11,13 +11,13 @@
 //! approximation.
 //!
 //! Six evolution models are provided (see [`DynamicModel`]); each is a
-//! [`TopologyModel`](crate::engine::TopologyModel) implementation the
+//! [`TopologyModel`] implementation the
 //! engines consume through one interface:
 //!
 //! * [`EdgeMarkov`] — every edge of the base graph flips off/on with
 //!   independent Poisson rates (an edge-Markovian evolving graph). With
 //!   both rates 0 the process **is** the static one: [`run_dynamic`]
-//!   replays [`crate::run_async`] with [`AsyncView::GlobalClock`]
+//!   replays [`crate::run_async`] with [`crate::AsyncView::GlobalClock`]
 //!   seed-for-seed.
 //! * [`Rewire`] — the whole topology is replaced every `period` time
 //!   units by a fresh snapshot from a random-graph family, the
@@ -316,7 +316,7 @@ impl DynamicModel {
     /// The per-edge `(off, on)` chain rates if this model is
     /// independently memoryless per base edge — what the lazy engine
     /// ([`crate::engine::run_dynamic_lazy`]) requires. Delegates to
-    /// [`TopologyModel::memoryless_edge_rates`](crate::engine::TopologyModel::memoryless_edge_rates).
+    /// [`TopologyModel::memoryless_edge_rates`].
     pub fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
         self.build_state().memoryless_edge_rates()
     }

@@ -123,7 +123,7 @@ pub fn run_dynamic_lazy(
 ///
 /// Equivalent in distribution to
 /// [`run_dynamic`](crate::run_dynamic) with
-/// [`DynamicModel::EdgeMarkov`](crate::DynamicModel::EdgeMarkov) —
+/// [`DynamicModel::EdgeMarkov`] —
 /// statistically, not seed-for-seed: the whole point is to consume
 /// randomness per *touched edge* instead of per global flip. Use it
 /// when `n` (and the edge count) is large enough that the eager

@@ -1,6 +1,12 @@
 //! A minimal, dependency-free JSON value: enough to write the
 //! deterministic `.metrics.json` artifact and read it back for
-//! summaries and diffs.
+//! summaries and diffs. The same codec is the fleet wire format: every
+//! `rumor worker` / `rumor serve` request and response frame, and every
+//! merged `FleetReport`, is rendered and parsed here.
+//!
+//! Parsing is O(input bytes): each string copies its runs of plain text
+//! between escapes in one step, so a request of any size allowed on the
+//! wire is decoded in one pass.
 //!
 //! The writer is byte-deterministic: object keys keep insertion order,
 //! numbers render with Rust's shortest round-trip `Display` for `f64`
@@ -161,7 +167,7 @@ impl Json {
     /// recurses per level, so unbounded input depth would overflow the
     /// stack).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -197,6 +203,8 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
@@ -273,48 +281,39 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of plain text up to the next quote or
+            // backslash in one step. Both are ASCII, so the run ends on
+            // a char boundary of `text`; so does its start (the opening
+            // quote, or the end of an escape, whose bytes are ASCII).
+            let Some(run) = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err("unterminated string".to_owned());
+            };
+            s.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(s);
             }
+            match self.peek() {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'b') => s.push('\u{8}'),
+                Some(b'f') => s.push('\u{c}'),
+                Some(b'u') => {
+                    let hex =
+                        self.bytes.get(self.pos + 1..self.pos + 5).ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    s.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                    self.pos += 4;
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -426,6 +425,21 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1.2.3", "\"unterminated", "{} extra"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_string_length() {
+        // A 4 MiB string with an escape every few bytes and 2-4 byte
+        // chars between them. Re-validating the rest of the input per
+        // char (quadratic) took minutes on this even optimized.
+        let unit = r#"ab\"cé\n日\u0041🦀\\"#;
+        let reps = (4 << 20) / unit.len();
+        let text = format!("\"{}\"", unit.repeat(reps));
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Json::Str("ab\"cé\n日A🦀\\".repeat(reps)));
+        assert!(elapsed.as_secs_f64() < 5.0, "parsing 4 MiB took {elapsed:?}");
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //!
 //! The combinatorially named sampling helpers (`sync_spreading_times`,
 //! `dynamic_spreading_outcomes_sharded`, …) are **deprecated**: they
-//! are thin wrappers over the unified [`SimSpec`](crate::spec::SimSpec)
+//! are thin wrappers over the unified [`SimSpec`]
 //! builder, kept seed-for-seed identical for migration (pinned in
 //! `tests/spec_wrappers.rs`). New code should compose a `SimSpec`
 //! directly — one typed builder instead of a free function per
 //! protocol × topology × engine combination. Unlike `SimSpec`'s
-//! [`RunReport`](crate::spec::RunReport), the time-only wrappers cannot
+//! [`RunReport`], the time-only wrappers cannot
 //! report censoring; they log to stderr when it occurred.
 
 use rumor_graph::{Graph, Node};
@@ -304,7 +304,7 @@ pub fn dynamic_spreading_outcomes_sharded(
 ///
 /// Budget-exhausted trials contribute the time of their last step — a
 /// lower bound, disclosed on stderr. Prefer a
-/// [`SimSpec`](crate::spec::SimSpec) run, whose report carries the
+/// [`SimSpec`] run, whose report carries the
 /// censoring flags.
 #[deprecated(note = "compose a rumor_core::spec::SimSpec instead")]
 pub fn dynamic_spreading_times(

@@ -11,6 +11,8 @@ pub const MAX_FRAME: u32 = 1 << 28;
 
 /// Writes one frame and flushes (the reader on the other side blocks
 /// until the frame is complete, so every frame is flushed eagerly).
+/// Header and payload go out in one `write_all`, so an unbuffered
+/// writer (a pipe, a socket) sees one write per frame, not two.
 ///
 /// # Errors
 ///
@@ -21,8 +23,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -75,6 +79,35 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&[7u8; 1000][..]));
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// Counts `write` calls and keeps what they wrote.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        for payload in [&b"small"[..], &[b'x'; 3000][..]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{} byte payload", payload.len());
+            assert_eq!(read_frame(&mut w.bytes.as_slice()).unwrap().as_deref(), Some(payload));
+        }
     }
 
     #[test]

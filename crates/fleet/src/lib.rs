@@ -13,7 +13,7 @@
 //! * [`report`] — the [`RunReport`](rumor_core::RunReport) ⇄ JSON wire
 //!   codec and the merged, provenance-stamped `FleetReport` artifact
 //!   (schema [`FLEET_SCHEMA`]);
-//! * [`dispatch`] — expands a [`SweepSpec`](rumor_core::SweepSpec) into
+//! * [`dispatch`](mod@dispatch) — expands a [`SweepSpec`](rumor_core::SweepSpec) into
 //!   its validated work-list, optionally auto-tunes `auto` budgets with
 //!   a pilot pass, executes the list in-process or across `rumor
 //!   worker` child processes (crashed workers are retried once), and
@@ -38,4 +38,4 @@ pub mod service;
 
 pub use dispatch::{dispatch, DispatchOptions, FleetError, FleetOutcome};
 pub use report::{report_from_json, report_to_json, telemetry_from_json, FLEET_SCHEMA};
-pub use service::{run_frames, serve_socket, ServiceConfig, ServiceExit};
+pub use service::{run_frames, serve_socket, ServiceConfig, ServiceCounters, ServiceExit};

@@ -9,6 +9,12 @@
 //! | `{id, spec: "<text>"}`   | `{id, report: {...}}` or `{id, error}` |
 //! | `{id, stats: true}`      | `{id, counters: {...}}`                |
 //!
+//! The `counters` of a stats response are the cache counters (serve
+//! only), then the service's own totals since it started, across every
+//! connection: `requests` (frames answered, this one included),
+//! `error_frames` (responses carrying `error`) and `panicked_requests`
+//! (the subset whose build or run panicked).
+//!
 //! The two modes differ only in configuration: a worker runs each spec
 //! uncached (so its reports carry no cache counters and stay
 //! byte-identical to an in-process run), while `rumor serve` binds a
@@ -20,6 +26,7 @@ use std::io::{self, Read, Write};
 use std::os::unix::net::UnixListener;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rumor_core::obs::json::Json;
@@ -39,6 +46,33 @@ pub struct ServiceConfig {
     /// `n+1` — the crash-injection hook behind `rumor worker
     /// --exit-after n` and the dispatcher's retry tests.
     pub exit_after: Option<u64>,
+    /// Request totals reported by `stats` frames; every loop run with
+    /// this config (every connection of a [`serve_socket`]) adds to
+    /// them.
+    pub counters: Arc<ServiceCounters>,
+}
+
+/// Totals of the requests a service has answered since it started.
+#[derive(Debug, Default)]
+pub struct ServiceCounters {
+    requests: AtomicU64,
+    error_frames: AtomicU64,
+    panicked_requests: AtomicU64,
+}
+
+impl ServiceCounters {
+    /// `(name, value)` pairs in a fixed order: `requests`,
+    /// `error_frames`, `panicked_requests`.
+    pub fn snapshot(&self) -> Vec<(String, u64)> {
+        [
+            ("requests", &self.requests),
+            ("error_frames", &self.error_frames),
+            ("panicked_requests", &self.panicked_requests),
+        ]
+        .into_iter()
+        .map(|(name, v)| (name.to_owned(), v.load(Ordering::Relaxed)))
+        .collect()
+    }
 }
 
 /// Why a [`run_frames`] loop returned.
@@ -81,13 +115,17 @@ pub fn run_frames(
 }
 
 fn respond(payload: &[u8], config: &ServiceConfig) -> Json {
+    config.counters.requests.fetch_add(1, Ordering::Relaxed);
     let (id, result) = match parse_request(payload) {
         Ok((id, request)) => (id, handle_unwinding(request, config)),
         Err(e) => (Json::Null, Err(e)),
     };
     let body = match result {
         Ok(body) => body,
-        Err(message) => ("error".to_owned(), Json::Str(message)),
+        Err(message) => {
+            config.counters.error_frames.fetch_add(1, Ordering::Relaxed);
+            ("error".to_owned(), Json::Str(message))
+        }
     };
     Json::Obj(vec![("id".to_owned(), id), body])
 }
@@ -116,8 +154,10 @@ fn parse_request(payload: &[u8]) -> Result<(Json, Request), String> {
 /// records traces outside its locks, so no lock is poisoned, and the
 /// per-request state dies with the request.
 fn handle_unwinding(request: Request, config: &ServiceConfig) -> Result<(String, Json), String> {
-    panic::catch_unwind(AssertUnwindSafe(|| handle(request, config)))
-        .unwrap_or_else(|payload| Err(format!("request panicked: {}", panic_message(&*payload))))
+    panic::catch_unwind(AssertUnwindSafe(|| handle(request, config))).unwrap_or_else(|payload| {
+        config.counters.panicked_requests.fetch_add(1, Ordering::Relaxed);
+        Err(format!("request panicked: {}", panic_message(&*payload)))
+    })
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> &str {
@@ -138,10 +178,11 @@ fn handle(request: Request, config: &ServiceConfig) -> Result<(String, Json), St
             Ok(("report".to_owned(), report_to_json(&sim.run())))
         }
         Request::Stats => {
-            let counters = match &config.caches {
+            let mut counters = match &config.caches {
                 Some(caches) => caches.counters(),
                 None => Vec::new(),
             };
+            counters.extend(config.counters.snapshot());
             let fields =
                 counters.into_iter().map(|(name, v)| (name, Json::Num(v as f64))).collect();
             Ok(("counters".to_owned(), Json::Obj(fields)))
@@ -150,7 +191,8 @@ fn handle(request: Request, config: &ServiceConfig) -> Result<(String, Json), St
 }
 
 /// Binds a unix socket at `path` and serves connections sequentially,
-/// all sharing one [`RunCaches`] — the `rumor serve --socket` mode.
+/// all sharing one [`RunCaches`] and one set of [`ServiceCounters`] —
+/// the `rumor serve --socket` mode.
 ///
 /// A pre-existing socket file at `path` is removed first (the stale
 /// leftover of a previous service). `max_connections` bounds how many
@@ -168,7 +210,7 @@ pub fn serve_socket(
         std::fs::remove_file(path)?;
     }
     let listener = UnixListener::bind(path)?;
-    let config = ServiceConfig { caches: Some(caches), exit_after: None };
+    let config = ServiceConfig { caches: Some(caches), ..ServiceConfig::default() };
     let mut accepted = 0u64;
     while max_connections.is_none_or(|cap| accepted < cap) {
         let (stream, _) = listener.accept()?;
@@ -226,7 +268,7 @@ mod tests {
     #[test]
     fn caches_warm_across_requests_and_stats_reports_them() {
         let caches = Arc::new(RunCaches::default());
-        let config = ServiceConfig { caches: Some(caches), exit_after: None };
+        let config = ServiceConfig { caches: Some(caches), ..ServiceConfig::default() };
         let mut input = request(1.0, &quick_spec());
         input.extend(request(2.0, &quick_spec()));
         let stats = Json::Obj(vec![
@@ -240,6 +282,28 @@ mod tests {
         let counters = docs[2].get("counters").unwrap();
         assert_eq!(counters.get("graph_cache_misses").unwrap(), &Json::Num(1.0));
         assert_eq!(counters.get("graph_cache_hits").unwrap(), &Json::Num(1.0));
+        assert_eq!(counters.get("requests").unwrap(), &Json::Num(3.0));
+        assert_eq!(counters.get("error_frames").unwrap(), &Json::Num(0.0));
+    }
+
+    #[test]
+    fn service_counters_outlive_one_connection() {
+        let config = ServiceConfig::default();
+        let mut first = Vec::new();
+        write_frame(&mut first, b"not json").unwrap();
+        first.extend(request(1.0, &quick_spec()));
+        run_frames(&mut first.as_slice(), &mut Vec::new(), &config).unwrap();
+
+        let mut second = Vec::new();
+        write_frame(&mut second, b"{\"id\": 2, \"stats\": true}").unwrap();
+        let mut output = Vec::new();
+        run_frames(&mut second.as_slice(), &mut output, &config).unwrap();
+        let docs = responses(&output);
+        let counters = docs[0].get("counters").unwrap();
+        let expected = [("requests", 3.0), ("error_frames", 1.0), ("panicked_requests", 0.0)];
+        for (name, value) in expected {
+            assert_eq!(counters.get(name), Some(&Json::Num(value)), "{name}");
+        }
     }
 
     #[test]
@@ -248,7 +312,7 @@ mod tests {
         write_frame(&mut input, b"{\"id\": 9}").unwrap();
         input.extend(request(1.0, &quick_spec()));
         let mut output = Vec::new();
-        let config = ServiceConfig { caches: None, exit_after: Some(1) };
+        let config = ServiceConfig { exit_after: Some(1), ..ServiceConfig::default() };
         let exit = run_frames(&mut input.as_slice(), &mut output, &config).unwrap();
         assert_eq!(exit, ServiceExit::Aborted(1));
         let docs = responses(&output);

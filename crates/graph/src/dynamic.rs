@@ -1,7 +1,7 @@
 //! Mutable adjacency for dynamic-network simulation: flat CSR base plus
 //! a copy-on-write delta overlay.
 //!
-//! The CSR [`Graph`](crate::Graph) is immutable by design; temporal-graph
+//! The CSR [`Graph`] is immutable by design; temporal-graph
 //! engines need edges that appear and disappear while a protocol runs.
 //! [`MutableGraph`] bridges the two worlds without abandoning flat
 //! memory: it aliases the CSR arrays of its starting snapshot (O(1)
@@ -24,8 +24,8 @@
 //! mutation — the right trade only when the *draw order* is pinned (the
 //! v1 replay contract indexes the k-th **sorted** neighbor). Engines on
 //! the v2 RNG contract mint their own goldens, so they opt into
-//! **order-relaxed adjacency** ([`relax_neighbor_order`]
-//! (MutableGraph::relax_neighbor_order)): lists keep the same *set* of
+//! **order-relaxed adjacency**
+//! ([`relax_neighbor_order`](MutableGraph::relax_neighbor_order)): lists keep the same *set* of
 //! neighbors but drop the ordering invariant, turning every mutation
 //! into a short scan plus `push`/`swap_remove` — no memmove, no binary
 //! search. Still fully deterministic (the order is a pure function of
